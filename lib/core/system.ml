@@ -305,7 +305,10 @@ let trace t = t.trace
 let network t = t.net
 
 (* Protocol-level trace events; the enabled-check keeps the disabled
-   cost to one load. *)
+   cost to one load.  Optional arguments box at the call site on this
+   compiler (no flambda), so the per-message and per-delivery sites
+   ([bcast.hop], [bcast.dup], [broadcast.delivered]) test
+   [Trace.enabled] themselves before the call. *)
 let trace_emit t ~kind ?node ?peer ?vgroup ?size ?bid ?span ?parent ?cycle () =
   if Trace.enabled t.trace then
     Trace.emit t.trace ~time:(Engine.now t.engine) ~kind ?node ?peer ?vgroup ?size ?bid ?span
@@ -1443,7 +1446,9 @@ let node_deliver t nid ~bid ~origin ~body =
   let n = node t nid in
   if (not (Atum_util.Bitset.mem n.delivered bid)) && is_correct n then begin
     Atum_util.Bitset.set n.delivered bid;
-    audit t (Audit_deliver { node = nid; bid; known = Hashtbl.mem t.bcasts bid });
+    (match t.on_audit with
+    | Some f -> f (Audit_deliver { node = nid; bid; known = Hashtbl.mem t.bcasts bid })
+    | None -> ());
     if Option.is_some t.store then
       persist t n
         (Json.Obj
@@ -1458,7 +1463,8 @@ let node_deliver t nid ~bid ~origin ~body =
       Atum_sim.Metrics.observe t.metrics "broadcast.latency" (now t -. meta.started)
     | None -> ());
     Metrics.incr t.metrics "broadcast.delivered";
-    trace_emit t ~kind:"broadcast.delivered" ~node:nid ~peer:origin ~bid ();
+    if Trace.enabled t.trace then
+      trace_emit t ~kind:"broadcast.delivered" ~node:nid ~peer:origin ~bid ();
     t.on_deliver nid ~bid ~origin body;
     match n.vg with
     | None -> ()
@@ -1813,12 +1819,13 @@ let handle_wire t nid ~src wire =
               (* Gossip lineage: this node accepts the broadcast from
                  vgroup [src_vg]; first delivery is a hop edge in the
                  dissemination tree. *)
-              trace_emit t ~kind:"bcast.hop" ~node:nid ?vgroup:n.vg ~parent:src_vg ~bid
-                ~cycle ();
+              if Trace.enabled t.trace then
+                trace_emit t ~kind:"bcast.hop" ~node:nid ?vgroup:n.vg ~parent:src_vg ~bid
+                  ~cycle ();
               node_deliver t nid ~bid ~origin ~body
             end
           end
-          else
+          else if Trace.enabled t.trace then
             (* Redundant receive: the gossip reached a node that had
                already delivered [bid]. *)
             trace_emit t ~kind:"bcast.dup" ~node:nid ?vgroup:n.vg ~parent:src_vg ~bid

@@ -192,167 +192,168 @@ let set_capacity_factor t f =
 
 let capacity_factor t = t.capacity_factor
 
+(* Optional arguments box at the call site on this compiler (no
+   flambda), so a disabled [trace_emit] would still allocate a [Some]
+   per argument.  Per-message paths therefore test [tracing] first. *)
+let tracing t = match t.trace with Some tr -> Trace.enabled tr | None -> false
+
 let trace_emit t ~kind ?node ?peer ?size () =
   match t.trace with
-  | Some tr when Trace.enabled tr ->
-    Trace.emit tr ~time:(Engine.now t.engine) ~kind ?node ?peer ?size ()
-  | _ -> ()
+  | Some tr -> Trace.emit tr ~time:(Engine.now t.engine) ~kind ?node ?peer ?size ()
+  | None -> ()
+
+type reason = Crash | Partition | Loss | No_handler
+
+(* The drop's metric key, which is also its trace kind. *)
+let drop_key = function
+  | Crash -> "net.drop.crash"
+  | Partition -> "net.drop.partition"
+  | Loss -> "net.drop.loss"
+  | No_handler -> "net.drop.no_handler"
 
 (* Every drop is counted once in the aggregate [dropped] and once
    under a reason-specific metric, so accounting bugs show up as a
    mismatch between the two. *)
-let drop t ~reason ~src ~dst =
+let drop t reason ~src ~dst =
   t.dropped <- t.dropped + 1;
-  Metrics.incr t.metrics ("net.drop." ^ reason);
-  trace_emit t ~kind:("net.drop." ^ reason) ~node:src ~peer:dst ()
+  Metrics.incr t.metrics (drop_key reason);
+  if tracing t then trace_emit t ~kind:(drop_key reason) ~node:src ~peer:dst ()
 
 (* A crashed endpoint silences the link regardless of partition tags;
    the tags themselves are left untouched so a later [recover] drops
    the node back into whichever partition it was in. *)
 let severed t ~src ~dst =
-  if is_crashed t src || is_crashed t dst then Some "crash"
-  else if partition_of t src <> partition_of t dst then Some "partition"
+  if t.crashed_count = 0 && t.tagged_count = 0 then None
+  else if is_crashed t src || is_crashed t dst then Some Crash
+  else if partition_of t src <> partition_of t dst then Some Partition
   else None
+
+(* The handler a message from [src] reaches at [dst] now, or [None]
+   once the drop is counted. *)
+let reachable t ~src ~dst =
+  match severed t ~src ~dst with
+  | Some reason ->
+    drop t reason ~src ~dst;
+    None
+  | None -> (
+    match handler_of t dst with
+    | None ->
+      drop t No_handler ~src ~dst;
+      None
+    | handler -> handler)
+
+let deliver t ~size ~src ~dst msg handler =
+  t.delivered <- t.delivered + 1;
+  if t.post_heal then Metrics.incr t.metrics "net.deliver.post_heal";
+  if tracing t then trace_emit t ~kind:"net.deliver" ~node:dst ~peer:src ~size ();
+  handler ~src msg
 
 (* Deliver one message that survived transit.  Receiver service time
    (node_capacity) is charged here, and only for messages that are
-   actually processed: a message dropped by the delivery-time
-   partition re-check or a missing handler must not advance the
-   receiver's queue tail, or dropped traffic would permanently consume
-   receiver capacity. *)
+   reachable on arrival: traffic dropped on arrival must not advance
+   the receiver's queue tail, or it would permanently consume receiver
+   capacity.  A queued message is checked again when its service time
+   comes: the receiver may have crashed or been partitioned away, or
+   its handler replaced or removed, while the message waited. *)
 let arrive t ~size ~src ~dst msg =
-  match severed t ~src ~dst with
-  | Some reason -> drop t ~reason ~src ~dst
-  | None -> begin
-    match handler_of t dst with
-    | None -> drop t ~reason:"no_handler" ~src ~dst
-    | Some _ ->
-      let deliver () =
-        (* Re-resolve the handler: it may have been replaced (or
-           removed) while the message waited in the receiver's
-           service queue. *)
-        match handler_of t dst with
-        | None -> drop t ~reason:"no_handler" ~src ~dst
-        | Some handler ->
-          t.delivered <- t.delivered + 1;
-          if t.post_heal then Metrics.incr t.metrics "net.deliver.post_heal";
-          trace_emit t ~kind:"net.deliver" ~node:dst ~peer:src ~size ();
-          handler ~src msg
-      in
-      (match t.config.node_capacity with
-      | None -> deliver ()
-      | Some capacity ->
-        (* The receiver serves messages in arrival order at a bounded
-           rate; a hot node's queue tail pushes delivery out. *)
-        let capacity = capacity *. t.capacity_factor in
-        let arrival = Engine.now t.engine in
-        let tail = Float.max arrival t.ready.(dst) in
-        let finish = tail +. (1.0 /. capacity) in
-        t.ready.(dst) <- finish;
-        Engine.schedule ~label:"net.service" t.engine ~delay:(finish -. arrival) deliver)
-  end
+  match reachable t ~src ~dst with
+  | None -> ()
+  | Some handler -> (
+    match t.config.node_capacity with
+    | None -> deliver t ~size ~src ~dst msg handler
+    | Some capacity ->
+      (* The receiver serves messages in arrival order at a bounded
+         rate; a hot node's queue tail pushes delivery out. *)
+      let capacity = capacity *. t.capacity_factor in
+      let arrival = Engine.now t.engine in
+      let tail = Float.max arrival t.ready.(dst) in
+      let finish = tail +. (1.0 /. capacity) in
+      t.ready.(dst) <- finish;
+      Engine.schedule ~label:"net.service" t.engine ~delay:(finish -. arrival) (fun () ->
+          match reachable t ~src ~dst with
+          | None -> ()
+          | Some handler -> deliver t ~size ~src ~dst msg handler))
 
-let send ?(size = 64) t ~src ~dst msg =
+let loss_probability t = Float.min 1.0 (t.config.drop_probability +. t.loss_boost)
+
+(* Account one (src, dst) message and decide whether it enters
+   transit.  The order is part of the RNG stream contract: counters,
+   trace, the cut check, then the loss draw, which is made even for a
+   cut pair so that faults never shift later draws. *)
+let admit t ~traced ~p_loss ~size ~src ~dst =
   t.sent <- t.sent + 1;
   t.bytes <- t.bytes + size;
-  trace_emit t ~kind:"net.send" ~node:src ~peer:dst ~size ();
+  if traced then trace_emit t ~kind:"net.send" ~node:src ~peer:dst ~size ();
   let cut = severed t ~src ~dst in
-  let lost =
-    Atum_util.Rng.bernoulli t.rng
-      (Float.min 1.0 (t.config.drop_probability +. t.loss_boost))
-  in
+  let lost = Atum_util.Rng.bernoulli t.rng p_loss in
   match cut with
-  | Some reason -> drop t ~reason ~src ~dst
+  | Some reason ->
+    drop t reason ~src ~dst;
+    false
   | None ->
-    if lost then drop t ~reason:"loss" ~src ~dst
-    else begin
-      let delay = sample_latency t *. t.latency_factor in
-      Engine.schedule ~label:"net.transit" t.engine ~delay (fun () ->
-          arrive t ~size ~src ~dst msg)
+    if lost then begin
+      drop t Loss ~src ~dst;
+      false
     end
+    else true
 
-(* Batched fan-out: one latency sample and ONE engine event for a
-   whole per-vgroup gossip round, instead of one event per (src, dst)
-   pair.  Loss and partition checks stay per destination, so the
-   delivered set is distribution-identical to the unbatched path; only
-   the number of queue operations (and the per-destination latency
-   jitter) changes.  With batching disabled this degrades to a plain
-   [send] per destination — the pre-batching engine, kept measurable
-   for the scale benchmark's before/after comparison. *)
-let send_multi ?(size = 64) t ~src ~dsts msg =
-  if not t.batching then List.iter (fun dst -> send ~size t ~src ~dst msg) dsts
-  else begin
-    let survivors =
-      List.filter
-        (fun dst ->
-          t.sent <- t.sent + 1;
-          t.bytes <- t.bytes + size;
-          trace_emit t ~kind:"net.send" ~node:src ~peer:dst ~size ();
-          let cut = severed t ~src ~dst in
-          let lost =
-            Atum_util.Rng.bernoulli t.rng
-              (Float.min 1.0 (t.config.drop_probability +. t.loss_boost))
-          in
-          match cut with
-          | Some reason ->
-            drop t ~reason ~src ~dst;
-            false
-          | None ->
-            if lost then begin
-              drop t ~reason:"loss" ~src ~dst;
-              false
-            end
-            else true)
-        dsts
+let transit_delay t = sample_latency t *. t.latency_factor
+
+let send ?(size = 64) t ~src ~dst msg =
+  if admit t ~traced:(tracing t) ~p_loss:(loss_probability t) ~size ~src ~dst then
+    Engine.schedule ~label:"net.transit" t.engine ~delay:(transit_delay t) (fun () ->
+        arrive t ~size ~src ~dst msg)
+
+(* Admission for one sender's row of a batch: survivors go to [batch]
+   as (src, size, dst) triples from slot [n]; returns the next free
+   slot. *)
+let rec admit_row t ~traced ~p_loss batch n ~src ~size = function
+  | [] -> n
+  | dst :: rest ->
+    let n =
+      if admit t ~traced ~p_loss ~size ~src ~dst then begin
+        batch.(n) <- src;
+        batch.(n + 1) <- size;
+        batch.(n + 2) <- dst;
+        n + 3
+      end
+      else n
     in
-    if survivors <> [] then begin
-      let delay = sample_latency t *. t.latency_factor in
-      Engine.schedule ~label:"net.transit.batch" t.engine ~delay (fun () ->
-          List.iter (fun dst -> arrive t ~size ~src ~dst msg) survivors)
-    end
-  end
+    admit_row t ~traced ~p_loss batch n ~src ~size rest
+
+let rec admit_rows t ~traced ~p_loss batch n dsts = function
+  | [] -> n
+  | (src, size) :: rest ->
+    let n = admit_row t ~traced ~p_loss batch n ~src ~size dsts in
+    admit_rows t ~traced ~p_loss batch n dsts rest
 
 (* Vgroup-round batching: all of a vgroup's same-instant senders fan
-   out to a neighbor round in one engine event.  The surviving (src,
-   size, dst) pairs — same per-pair accounting, loss and cut checks as
-   [send_multi] — share a single latency sample, so the event count
-   per gossip round drops from senders*1 to 1. *)
+   out to a neighbor round in one engine event.  Each (src, dst) pair
+   gets the same accounting, cut check and loss draw as [send]; the
+   survivors share a single latency sample and travel as one flat
+   array of (src, size, dst) triples, so the event count per gossip
+   round drops from senders * destinations to 1 and nothing is
+   allocated per message.  With batching disabled this degrades to a
+   plain [send] per pair — the pre-batching engine, kept measurable
+   for the scale benchmark's before/after comparison. *)
 let send_group t ~srcs ~dsts msg =
   if not t.batching then
     List.iter (fun (src, size) -> List.iter (fun dst -> send ~size t ~src ~dst msg) dsts) srcs
   else begin
-    let pairs =
-      List.concat_map
-        (fun (src, size) ->
-          List.filter_map
-            (fun dst ->
-              t.sent <- t.sent + 1;
-              t.bytes <- t.bytes + size;
-              trace_emit t ~kind:"net.send" ~node:src ~peer:dst ~size ();
-              let cut = severed t ~src ~dst in
-              let lost =
-                Atum_util.Rng.bernoulli t.rng
-                  (Float.min 1.0 (t.config.drop_probability +. t.loss_boost))
-              in
-              match cut with
-              | Some reason ->
-                drop t ~reason ~src ~dst;
-                None
-              | None ->
-                if lost then begin
-                  drop t ~reason:"loss" ~src ~dst;
-                  None
-                end
-                else Some (src, size, dst))
-            dsts)
-        srcs
+    let batch = Array.make (3 * List.length srcs * List.length dsts) 0 in
+    let n =
+      admit_rows t ~traced:(tracing t) ~p_loss:(loss_probability t) batch 0 dsts srcs
     in
-    if pairs <> [] then begin
-      let delay = sample_latency t *. t.latency_factor in
-      Engine.schedule ~label:"net.transit.batch" t.engine ~delay (fun () ->
-          List.iter (fun (src, size, dst) -> arrive t ~size ~src ~dst msg) pairs)
-    end
+    if n > 0 then
+      Engine.schedule ~label:"net.transit.batch" t.engine ~delay:(transit_delay t) (fun () ->
+          for k = 0 to (n / 3) - 1 do
+            let i = 3 * k in
+            arrive t ~size:batch.(i + 1) ~src:batch.(i) ~dst:batch.(i + 2) msg
+          done)
   end
+
+(* One sender's fan-out is a batch with a single row. *)
+let send_multi ?(size = 64) t ~src ~dsts msg = send_group t ~srcs:[ (src, size) ] ~dsts msg
 
 let messages_sent t = t.sent
 let messages_delivered t = t.delivered

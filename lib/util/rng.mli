@@ -5,7 +5,14 @@
     experiment is reproducible.  The generator is splitmix64, which is
     fast, has a 64-bit state, and supports cheap splitting: {!split}
     derives an independent stream, which lets concurrent protocol
-    instances draw random numbers without perturbing each other. *)
+    instances draw random numbers without perturbing each other.
+
+    Stream contract: for a given seed, the values every function below
+    returns, in order, are fixed (test/test_util.ml pins them).  Every
+    simulated outcome is a function of these streams, so the state's
+    encoding may change but the values may not.  Draws allocate
+    nothing of their own; a call from another module still boxes an
+    [int64] or [float] result. *)
 
 type t
 

@@ -82,6 +82,129 @@ let test_churn_seed_sensitivity () =
   Alcotest.(check bool) "different seeds diverge" false
     (String.equal m1 m2 && String.equal t1 t2)
 
+(* ------------------------------------------------------------------ *)
+(* Cross-commit outcome pin                                            *)
+(* ------------------------------------------------------------------ *)
+
+module System = Atum_core.System
+module Params = Atum_core.Params
+module Network = Atum_sim.Network
+module Engine = Atum_sim.Engine
+
+(* Two small deployments whose every delivery is folded into a digest
+   together with the network and engine totals.  Unlike the same-seed
+   tests above, which compare a run with itself, the golden digests
+   below were captured from an earlier commit, so a change that moves
+   any simulated outcome — a delivery time, an RNG draw, one extra
+   event — fails here even when it is perfectly self-consistent.
+
+   Re-pin only when a change moves behaviour on purpose (for example
+   restoring Sync round alignment, or a stricter acceptance rule), and
+   say so in CHANGES.md with the reason. *)
+type pin_run = { digest : string; messages : int; events : int; deliveries : int }
+
+let pin_deployment ~protocol ~net_config ~nodes ~byz_every ~seed =
+  let params = Params.for_system_size ~protocol ~seed nodes in
+  let sys = System.create ~net_config params in
+  let ids = Array.of_list (System.build_direct sys ~nodes ()) in
+  if byz_every > 0 then
+    Array.iteri
+      (fun i id ->
+        if i mod byz_every = byz_every - 1 then
+          System.make_byzantine sys ~strategy:System.Equivocate id)
+      ids;
+  let buf = Buffer.create (1 lsl 16) in
+  let deliveries = ref 0 in
+  System.set_deliver sys (fun nid ~bid ~origin:_ _ ->
+      incr deliveries;
+      Buffer.add_string buf
+        (Printf.sprintf "%d %d %Lx\n" nid bid (Int64.bits_of_float (System.now sys))));
+  (sys, ids, buf, deliveries)
+
+let pin_finish sys buf deliveries =
+  let net = System.network sys in
+  let messages = Network.messages_sent net and events = Engine.events_processed (System.engine sys) in
+  Buffer.add_string buf (Printf.sprintf "messages %d events %d\n" messages events);
+  { digest = Digest.to_hex (Digest.string (Buffer.contents buf)); messages; events; deliveries = !deliveries }
+
+(* Sync, datacenter network, 300 nodes, three broadcasts two
+   simulated seconds apart from spread-out origins.  [between] sees the
+   system after it is built and before the first broadcast (the
+   allocation gate starts its counters there). *)
+let sync_pin_run ?(between = fun _ -> ()) () =
+  let sys, ids, buf, deliveries =
+    pin_deployment ~protocol:Params.Sync ~net_config:(Network.datacenter_config ~seed:17)
+      ~nodes:300 ~byz_every:0 ~seed:17
+  in
+  between sys;
+  List.iter
+    (fun i ->
+      ignore (System.broadcast sys ~from:ids.(i) (Printf.sprintf "sync-%d" i));
+      System.run_for sys 2.0)
+    [ 0; 150; 299 ];
+  System.run_for sys 60.0;
+  pin_finish sys buf deliveries
+
+(* Async (PBFT) over the lossy WAN network, 150 nodes of which every
+   twentieth equivocates (5 %), three broadcasts. *)
+let async_pin_run () =
+  let sys, ids, buf, deliveries =
+    pin_deployment ~protocol:Params.Async ~net_config:(Network.wan_config ~seed:23) ~nodes:150
+      ~byz_every:20 ~seed:23
+  in
+  List.iter
+    (fun i ->
+      ignore (System.broadcast sys ~from:ids.(i) (Printf.sprintf "async-%d" i));
+      System.run_for sys 2.0)
+    [ 0; 70; 148 ];
+  System.run_for sys 60.0;
+  pin_finish sys buf deliveries
+
+let check_pin name (golden : pin_run) (got : pin_run) =
+  let show r =
+    Printf.sprintf "{ digest = %S; messages = %d; events = %d; deliveries = %d }" r.digest r.messages
+      r.events r.deliveries
+  in
+  Alcotest.(check string) (name ^ " outcome pin") (show golden) (show got)
+
+let golden_sync =
+  { digest = "d38f2463029d3865883043339288f189"; messages = 30042; events = 1138; deliveries = 900 }
+let golden_async =
+  { digest = "126fabc75e91f71964ef74c93ca15358"; messages = 19622; events = 1028; deliveries = 429 }
+
+let test_outcome_pin_sync () = check_pin "sync" golden_sync (sync_pin_run ())
+let test_outcome_pin_async () = check_pin "async" golden_async (async_pin_run ())
+
+(* Deterministic allocation gate on the transit hot path: minor words
+   allocated per network message over the broadcast phase of the Sync
+   pin run, with tracing off.  [Gc.minor_words] repeats exactly across
+   same-seed runs, so this gates a count, not a timing.  The boxed RNG
+   state, the list-and-closure batches and the call-site [Some] boxes
+   of disabled trace calls cost 76.62 words per message here; the
+   allocation-free transit path costs 28.67.  The ceiling is that
+   value plus 10 %.  Transit itself now costs 4 words per message in
+   a 6x6 [send_group] batch (3 of them the message's slot in the
+   batch array); the rest is spent outside the network, in the
+   protocol layer: the receivers' acceptance tally, the fan-out
+   buffer, SMR traffic. *)
+let words_per_message_ceiling = 31.5
+
+let test_allocation_gate () =
+  let w0 = ref 0.0 and m0 = ref 0 in
+  let r =
+    sync_pin_run
+      ~between:(fun sys ->
+        m0 := Network.messages_sent (System.network sys);
+        w0 := Gc.minor_words ())
+      ()
+  in
+  let words = Gc.minor_words () -. !w0 in
+  let per_msg = words /. float_of_int (r.messages - !m0) in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.2f minor words per message (ceiling %.1f)" per_msg words_per_message_ceiling)
+    true
+    (per_msg <= words_per_message_ceiling)
+
 let () =
   Alcotest.run "determinism"
     [
@@ -91,5 +214,11 @@ let () =
           Alcotest.test_case "telemetry byte-identical" `Slow test_telemetry_same_seed;
           Alcotest.test_case "chaos byte-identical" `Slow test_chaos_same_seed;
           Alcotest.test_case "seed sensitivity" `Slow test_churn_seed_sensitivity;
+        ] );
+      ( "pin",
+        [
+          Alcotest.test_case "sync outcome digest" `Slow test_outcome_pin_sync;
+          Alcotest.test_case "async outcome digest" `Slow test_outcome_pin_async;
+          Alcotest.test_case "transit allocation gate" `Slow test_allocation_gate;
         ] );
     ]

@@ -377,6 +377,39 @@ let test_network_capacity_not_charged_for_arrival_drops () =
     (Printf.sprintf "no stale service tail (at %.3fs)" !at)
     true (!at < 0.2)
 
+let test_network_capacity_queue_rechecks_fault () =
+  (* Regression: a message waiting in a receiver's service queue is
+     re-checked when its service time comes.  Five messages queue at
+     node 9 (served at 0.101, 0.201, ... 0.501 s); the fault at
+     0.15 s must cut the four still waiting, counted under the fault's
+     drop reason. *)
+  let run fault reason =
+    let e = Engine.create () in
+    let config =
+      {
+        (Network.datacenter_config ~seed:2) with
+        Network.latency = Network.Fixed 0.001;
+        node_capacity = Some 10.0;
+      }
+    in
+    let net : int Network.t = Network.create e config in
+    let times = ref [] in
+    Network.register net 9 (fun ~src:_ _ -> times := Engine.now e :: !times);
+    for _ = 1 to 5 do
+      Network.send net ~src:1 ~dst:9 0
+    done;
+    Engine.schedule e ~delay:0.15 (fun () -> fault net);
+    Engine.run e;
+    Alcotest.(check (list (float 1e-9))) (reason ^ ": served before the fault") [ 0.101 ]
+      (List.rev !times);
+    Alcotest.(check int) (reason ^ ": delivered") 1 (Network.messages_delivered net);
+    Alcotest.(check int) (reason ^ ": dropped") 4 (Network.messages_dropped net);
+    Alcotest.(check int) (reason ^ ": by reason") 4
+      (Metrics.counter (Network.metrics net) ("net.drop." ^ reason))
+  in
+  run (fun net -> Network.crash net 9) "crash";
+  run (fun net -> Network.set_partition net 9 3) "partition"
+
 let test_network_drop_reason_counters () =
   let e = Engine.create () in
   let config =
@@ -896,6 +929,8 @@ let () =
             test_network_capacity_not_charged_for_presend_drops;
           Alcotest.test_case "drops don't charge capacity (arrival)" `Quick
             test_network_capacity_not_charged_for_arrival_drops;
+          Alcotest.test_case "queued message re-checks faults" `Quick
+            test_network_capacity_queue_rechecks_fault;
           Alcotest.test_case "drop reason counters" `Quick test_network_drop_reason_counters;
         ] );
       ( "rounds",

@@ -107,6 +107,162 @@ let test_rng_pick_empty () =
   Alcotest.check_raises "empty pick" (Invalid_argument "Rng.pick: empty list")
     (fun () -> ignore (Rng.pick rng []))
 
+(* Stream pins: the first 16 outputs of every derived draw, for two
+   seeds and a split stream, captured from the boxed-[int64]
+   implementation before the state moved into unboxed bytes.  Every
+   simulated outcome is a function of these streams, so a change here
+   moves every artifact; the encoding may change, the values may not.
+   Floats are compared by their bit patterns; [ints] draws from
+   [int 1000] (about half of the raw draws are rejected, so this also
+   pins the rejection loop); [bernoullis] is [bernoulli 0.3] as 0/1;
+   [lognormals] uses the WAN latency parameters. *)
+type rng_pin = {
+  label : string;
+  make : unit -> Rng.t;
+  bits64 : int64 list;
+  ints : int list;
+  floats : int64 list;
+  bernoullis : string;
+  lognormals : int64 list;
+}
+
+let rng_pins =
+  [
+    {
+      label = "seed 1";
+      make = (fun () -> Rng.create 1);
+      bits64 = [
+        0xbfef8030ddc2d772L; 0x5f552ce482f2aa47L; 0x70335fc3daf3d8a7L;
+        0xf440fe3b62c79d2cL; 0x33ba2f29e7c168bbL; 0x98843f48a94b7866L;
+        0x74ad4c24d41a25f8L; 0x2f9a1f13648eab6eL; 0x509a840d44beedbdL;
+        0xe1d9d25350c18b44L; 0x83db02da19918686L; 0x889af42f2e548689L;
+        0xec3add8a85bfa5eeL; 0x33ab0c5babe05527L; 0x27a774aeba5ef45bL;
+        0x8bcb0ba992bb02deL;
+      ];
+      ints = [ 347; 763; 757; 572; 647; 286; 979; 845; 707; 422; 753; 221; 330; 39; 145; 499 ];
+      floats = [
+        0x3fe7fdf0061bb85aL; 0x3fd7d54b3920bcaaL; 0x3fdc0cd7f0f6bcf6L;
+        0x3fee881fc76c58f3L; 0x3fc9dd1794f3e0b4L; 0x3fe31087e915296fL;
+        0x3fdd2b5309350688L; 0x3fc7cd0f89b24754L; 0x3fd426a103512fbaL;
+        0x3fec3b3a4a6a1831L; 0x3fe07b605b433230L; 0x3fe1135e85e5ca90L;
+        0x3fed875bb150b7f4L; 0x3fc9d5862dd5f028L; 0x3fc3d3ba575d2f78L;
+        0x3fe1796175325760L;
+      ];
+      bernoullis = "0000100100000110";
+      lognormals = [
+        0x3fadd77dbe4fb384L; 0x3fc57017c760483dL; 0x3fa0e97a227cd54dL;
+        0x3fbb7f23e3702789L; 0x3fc41588bf9d6996L; 0x3fa4d6a03ccc09dfL;
+        0x3fb6009d0a5dd142L; 0x3f9afb520fb1a708L; 0x3f95746246d9b732L;
+        0x3fa46e58e9dd9515L; 0x3fa53d57dbf78b2aL; 0x3fb13ad7423c3f2dL;
+        0x3fd1efff8f5bc1e4L; 0x3fb7d3d4ab7b42cbL; 0x3fbee7fb98e6243aL;
+        0x3fa690c483d69c41L;
+      ];
+    };
+    {
+      label = "seed 90210";
+      make = (fun () -> Rng.create 90210);
+      bits64 = [
+        0xca4795c07a72c977L; 0x4913aac0d5a4a02cL; 0xdc5ffaea021ac75dL;
+        0x4bcb611d3922b879L; 0x772c496bec29aea4L; 0x2bc5aff1a9317a95L;
+        0x6a8d4dca674d19ebL; 0x256305f48ab60a6fL; 0x96465835795ae5baL;
+        0x1f3e7f7a8975bb1bL; 0x06ad09a906bb06f3L; 0x3ee48b7999bfad6dL;
+        0x4de2de8496aa8d64L; 0x9a96a75f6adc7140L; 0x2e0622dbb1d5997bL;
+        0xbe0770aeb3364e6eL;
+      ];
+      ints = [ 230; 492; 114; 882; 205; 855; 277; 209; 550; 194; 445; 645; 688; 419; 430; 826 ];
+      floats = [
+        0x3fe948f2b80f4e59L; 0x3fd244eab0356928L; 0x3feb8bff5d404358L;
+        0x3fd2f2d8474e48aeL; 0x3fddcb125afb0a6aL; 0x3fc5e2d7f8d498bcL;
+        0x3fdaa3537299d346L; 0x3fc2b182fa455b04L; 0x3fe2c8cb06af2b5cL;
+        0x3fbf3e7f7a8975b8L; 0x3f9ab426a41aec00L; 0x3fcf7245bcccdfd4L;
+        0x3fd378b7a125aaa2L; 0x3fe352d4ebed5b8eL; 0x3fc703116dd8eaccL;
+        0x3fe7c0ee15d666c9L;
+      ];
+      bernoullis = "0101010101110010";
+      lognormals = [
+        0x3fb2b2ec20b20e33L; 0x3fb2a5a3ffa8b16fL; 0x3fbd296fc1dde09aL;
+        0x3fc0984520042ea1L; 0x3fbffd6974b9364cL; 0x3fb566e12ba15c2cL;
+        0x3fa3a1e6caa0beacL; 0x3fb368851f50cf59L; 0x3fb72ad000cb2a00L;
+        0x3fb86c23ded60ff8L; 0x3fb2a6ab9e86c81cL; 0x3fa1d442e9f3820bL;
+        0x3fb0dbd81858d6d3L; 0x3fbcf5645b21da44L; 0x3f9910f436c06f2eL;
+        0x3faad97f0f8d59afL;
+      ];
+    };
+    {
+      label = "split of seed 7";
+      make = (fun () -> Rng.split (Rng.create 7));
+      bits64 = [
+        0x8c67274bd4da9230L; 0x5b0d33ebb04e4c17L; 0x2f9905d0777b6632L;
+        0x55471384bb8e0572L; 0x9febb59af439bb03L; 0xc02298a4a9303ba4L;
+        0xcfa2a2cb66bf6b82L; 0xd180347ff7a6bfd4L; 0x0e04a4f5d7d53f1fL;
+        0x96da45c0e99ab102L; 0x7c6b44c94a3dae0bL; 0x30e09679ed49cb04L;
+        0xafd79c7bcbdf79d5L; 0x4ea394a7c065acb4L; 0xcdfd76f34c52d10bL;
+        0x754a24dfd2d9ad1aL;
+      ];
+      ints = [ 571; 801; 425; 639; 877; 690; 18; 493; 827; 926; 572; 867; 132; 223; 378; 480 ];
+      floats = [
+        0x3fe18ce4e97a9b52L; 0x3fd6c34cfaec1392L; 0x3fc7cc82e83bbdb0L;
+        0x3fd551c4e12ee380L; 0x3fe3fd76b35e8737L; 0x3fe8045314952607L;
+        0x3fe9f454596cd7edL; 0x3fea30068ffef4d7L; 0x3fac0949ebafaa70L;
+        0x3fe2db48b81d3356L; 0x3fdf1ad132528f6aL; 0x3fc8704b3cf6a4e4L;
+        0x3fe5faf38f797befL; 0x3fd3a8e529f0196aL; 0x3fe9bfaede698a5aL;
+        0x3fdd528937f4b66aL;
+      ];
+      bernoullis = "0010000010010000";
+      lognormals = [
+        0x3fab500297e590bcL; 0x3fa7a7d3e3d7fadfL; 0x3fb48502e180528aL;
+        0x3fb8130ad27d2befL; 0x3f9812efeb7983a3L; 0x3fba9953965612d1L;
+        0x3fb10ec49f0f7614L; 0x3fabf47985d62356L; 0x3fc125d2104fb76aL;
+        0x3f96567976936f1aL; 0x3fb52f10307bde99L; 0x3fb4dae3e984e70fL;
+        0x3faaf75fdb65f063L; 0x3fe1957b701bf61eL; 0x3fac10f33a679e34L;
+        0x3fbb05ef09b433d0L;
+      ];
+    };
+  ]
+
+let test_rng_stream_pins () =
+  let draw pin f = let r = pin.make () in List.init 16 (fun _ -> f r) in
+  let bits = Int64.bits_of_float in
+  List.iter
+    (fun pin ->
+      let name what = pin.label ^ " " ^ what in
+      Alcotest.(check (list int64)) (name "bits64") pin.bits64 (draw pin Rng.bits64);
+      Alcotest.(check (list int)) (name "int") pin.ints (draw pin (fun r -> Rng.int r 1000));
+      Alcotest.(check (list int64)) (name "float") pin.floats
+        (draw pin (fun r -> bits (Rng.float r 1.0)));
+      Alcotest.(check string) (name "bernoulli") pin.bernoullis
+        (String.of_seq
+           (List.to_seq (draw pin (fun r -> if Rng.bernoulli r 0.3 then '1' else '0'))));
+      Alcotest.(check (list int64)) (name "lognormal") pin.lognormals
+        (draw pin (fun r -> bits (Rng.lognormal r ~mu:(log 0.08) ~sigma:0.6))))
+    rng_pins
+
+(* The transit hot path draws once per message; a draw allocates
+   nothing of its own.  The library is built with [-opaque] (dune's
+   dev profile), so a call from another module gets an [int64] or
+   [float] result boxed: 3 words for [bits64], 2 for [float], nothing
+   for [bernoulli], which returns an immediate.  The boxed-state
+   encoding this replaced allocated 6, 8 and 8 words per draw.  The
+   loop itself allocates nothing, and the two [Gc.minor_words] reads
+   box one float each, hence the slack of a few words. *)
+let test_rng_draws_allocate_nothing () =
+  let rng = Rng.create 11 in
+  let acc = ref 0 in
+  let check name ~result_words f =
+    let before = Gc.minor_words () in
+    for _ = 1 to 10_000 do
+      f ()
+    done;
+    let extra = Gc.minor_words () -. before -. (10_000.0 *. result_words) in
+    Alcotest.(check bool)
+      (Printf.sprintf "%s: %.0f words per 10k draws beyond the result box" name extra)
+      true (extra < 8.0)
+  in
+  check "bits64" ~result_words:3.0 (fun () -> if Rng.bits64 rng = 0L then incr acc);
+  check "float" ~result_words:2.0 (fun () -> if Rng.float rng 1.0 < 0.0 then incr acc);
+  check "bernoulli" ~result_words:0.0 (fun () -> if Rng.bernoulli rng 0.3 then incr acc);
+  ignore (Sys.opaque_identity !acc)
+
 (* ------------------------------------------------------------------ *)
 (* Pqueue                                                              *)
 (* ------------------------------------------------------------------ *)
@@ -709,6 +865,8 @@ let () =
           Alcotest.test_case "sample clamps k" `Quick test_rng_sample_all_when_k_large;
           Alcotest.test_case "pick singleton" `Quick test_rng_pick_singleton;
           Alcotest.test_case "pick empty raises" `Quick test_rng_pick_empty;
+          Alcotest.test_case "stream pins" `Quick test_rng_stream_pins;
+          Alcotest.test_case "draws allocate nothing" `Quick test_rng_draws_allocate_nothing;
         ] );
       ( "pqueue",
         [
