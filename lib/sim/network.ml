@@ -39,7 +39,6 @@ type 'msg t = {
   mutable cap : int; (* length of the arrays above *)
   mutable crashed_count : int;
   mutable tagged_count : int; (* nodes with a nonzero partition tag *)
-  mutable batching : bool; (* deliver send_multi batches as one event *)
   metrics : Metrics.t;
   trace : Trace.t option;
   mutable sent : int;
@@ -66,7 +65,6 @@ let create ?metrics ?trace engine config =
     cap = 256;
     crashed_count = 0;
     tagged_count = 0;
-    batching = true;
     metrics = (match metrics with Some m -> m | None -> Metrics.create ());
     trace;
     sent = 0;
@@ -108,9 +106,6 @@ let register t node handler =
 let unregister t node = if node < t.cap then t.handlers.(node) <- None
 
 let handler_of t node = if node < t.cap then t.handlers.(node) else None
-
-let set_batching t on = t.batching <- on
-let batching t = t.batching
 
 let sample_latency t =
   match t.config.latency with
@@ -333,24 +328,16 @@ let rec admit_rows t ~traced ~p_loss batch n dsts = function
    survivors share a single latency sample and travel as one flat
    array of (src, size, dst) triples, so the event count per gossip
    round drops from senders * destinations to 1 and nothing is
-   allocated per message.  With batching disabled this degrades to a
-   plain [send] per pair — the pre-batching engine, kept measurable
-   for the scale benchmark's before/after comparison. *)
+   allocated per message. *)
 let send_group t ~srcs ~dsts msg =
-  if not t.batching then
-    List.iter (fun (src, size) -> List.iter (fun dst -> send ~size t ~src ~dst msg) dsts) srcs
-  else begin
-    let batch = Array.make (3 * List.length srcs * List.length dsts) 0 in
-    let n =
-      admit_rows t ~traced:(tracing t) ~p_loss:(loss_probability t) batch 0 dsts srcs
-    in
-    if n > 0 then
-      Engine.schedule ~label:"net.transit.batch" t.engine ~delay:(transit_delay t) (fun () ->
-          for k = 0 to (n / 3) - 1 do
-            let i = 3 * k in
-            arrive t ~size:batch.(i + 1) ~src:batch.(i) ~dst:batch.(i + 2) msg
-          done)
-  end
+  let batch = Array.make (3 * List.length srcs * List.length dsts) 0 in
+  let n = admit_rows t ~traced:(tracing t) ~p_loss:(loss_probability t) batch 0 dsts srcs in
+  if n > 0 then
+    Engine.schedule ~label:"net.transit.batch" t.engine ~delay:(transit_delay t) (fun () ->
+        for k = 0 to (n / 3) - 1 do
+          let i = 3 * k in
+          arrive t ~size:batch.(i + 1) ~src:batch.(i) ~dst:batch.(i + 2) msg
+        done)
 
 (* One sender's fan-out is a batch with a single row. *)
 let send_multi ?(size = 64) t ~src ~dsts msg = send_group t ~srcs:[ (src, size) ] ~dsts msg

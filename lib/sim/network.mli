@@ -65,9 +65,7 @@ val send_multi : ?size:int -> 'msg t -> src:int -> dsts:int list -> 'msg -> unit
 (** Batched fan-out: [send_group ~srcs:[ (src, size) ] ~dsts] — one
     latency sample and one engine event for the whole destination list
     (a per-vgroup gossip round), instead of one event per pair.  Loss,
-    partition and crash checks remain per destination.  With batching
-    disabled (see {!set_batching}) this is exactly [List.iter] of
-    {!send}. *)
+    partition and crash checks remain per destination. *)
 
 val send_group : 'msg t -> srcs:(int * int) list -> dsts:int list -> 'msg -> unit
 (** Vgroup-round fan-in/fan-out: every [(src, size)] sender transmits
@@ -75,17 +73,9 @@ val send_group : 'msg t -> srcs:(int * int) list -> dsts:int list -> 'msg -> uni
     event for the whole round.  The logical message set — and the
     per-pair loss, partition and crash checks — is identical to
     calling {!send_multi} once per sender; only the event count and the
-    per-sender latency jitter change.  With batching disabled this
-    degrades to a plain {!send} per (src, dst) pair.  While tracing is
-    off, the batch allocates one flat array and one closure, and
-    nothing per message. *)
-
-val set_batching : 'msg t -> bool -> unit
-(** Toggle batched delivery for {!send_multi} (default [true]).
-    Disabling restores the pre-batching one-event-per-message engine —
-    kept so the scale benchmark can measure the batching win. *)
-
-val batching : 'msg t -> bool
+    per-sender latency jitter change.  While tracing is off, the batch
+    allocates one flat array and one closure, and nothing per
+    message. *)
 
 val sample_latency : 'msg t -> float
 (** One latency draw from the configured model (for protocols that

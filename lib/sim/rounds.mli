@@ -13,6 +13,10 @@ val round_duration : t -> float
 
 val current_round : t -> int
 
+val next_boundary : t -> float -> float
+(** [next_boundary t time] is the first round boundary strictly after
+    [time]: boundaries are the multiples of the round duration. *)
+
 val subscribe : t -> (int -> unit) -> int
 (** [subscribe t f] calls [f round] at every round boundary; returns a
     subscription id. *)
@@ -20,7 +24,9 @@ val subscribe : t -> (int -> unit) -> int
 val unsubscribe : t -> int -> unit
 
 val start : t -> unit
-(** Begin ticking at the current engine time.  Idempotent. *)
+(** Tick at every round boundary from {!next_boundary} of the current
+    engine time on.  Idempotent while running. *)
 
 val stop : t -> unit
-(** Stop ticking after the current round. *)
+(** Stop ticking after the current round.  A later {!start} begins a
+    fresh tick chain; the stopped one never ticks again. *)

@@ -72,7 +72,22 @@ let test_node_id_recycling () =
   let nn = System.node sys fresh in
   Alcotest.(check bool) "recycled node starts outside" true (nn.System.vg = None);
   (* No aliasing: every live node still backlinks consistently. *)
-  check_ok "registry after recycle" (System.check_consistency sys)
+  check_ok "registry after recycle" (System.check_consistency sys);
+  (* The recycled id joins again.  [live_nodes] must still list ids in
+     ascending order — seeded picks depend on it, and only the arena's
+     slot order provides it. *)
+  let joined = ref false in
+  System.join sys ~joiner:fresh ~contact:(List.hd ids) ~k:(fun _ -> joined := true) ();
+  let deadline = System.now sys +. 600.0 in
+  while (not !joined) && System.now sys < deadline do
+    System.run_for sys 5.0
+  done;
+  Alcotest.(check bool) "recycled id rejoined" true !joined;
+  let live = List.map (fun (nd : System.node) -> nd.System.id) (System.live_nodes sys) in
+  Alcotest.(check bool) "recycled id live" true (List.mem fresh live);
+  let rec ascending = function a :: (b :: _ as rest) -> a < b && ascending rest | _ -> true in
+  Alcotest.(check bool) "live_nodes strictly ascending" true (ascending live);
+  check_ok "registry after rejoin" (System.check_consistency sys)
 
 (* ------------------------------------------------------------------ *)
 (* Bulk growth smoke (CI-capped stand-in for the 1M bench tier)        *)

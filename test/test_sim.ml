@@ -486,6 +486,23 @@ let test_rounds_stop () =
   Engine.run e;
   Alcotest.(check int) "no ticks after stop" 3 !count
 
+(* Stop then start before the stopped chain's pending tick: only the
+   new chain ticks, on the same boundaries as before the restart. *)
+let test_rounds_restart () =
+  let e = Engine.create () in
+  let r = Rounds.create e ~round_duration:1.0 in
+  let seen = ref [] in
+  ignore (Rounds.subscribe r (fun round -> seen := (round, Engine.now e) :: !seen));
+  Rounds.start r;
+  Engine.run ~until:1.5 e;
+  Rounds.stop r;
+  Rounds.start r;
+  Engine.run ~until:4.0 e;
+  Alcotest.(check (list (pair int (float 0.0))))
+    "one chain, whole-second boundaries"
+    [ (1, 1.0); (2, 2.0); (3, 3.0); (4, 4.0) ]
+    (List.rev !seen)
+
 (* ------------------------------------------------------------------ *)
 (* Bulk transfer model                                                 *)
 (* ------------------------------------------------------------------ *)
@@ -939,6 +956,7 @@ let () =
           Alcotest.test_case "subscriber order" `Quick test_rounds_subscriber_order;
           Alcotest.test_case "unsubscribe" `Quick test_rounds_unsubscribe;
           Alcotest.test_case "stop" `Quick test_rounds_stop;
+          Alcotest.test_case "restart before pending tick" `Quick test_rounds_restart;
         ] );
       ( "bulk",
         [
